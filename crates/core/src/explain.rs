@@ -11,6 +11,8 @@
 //!   walk, or generic `O(|D|)` sweep), context-set and axis-output
 //!   cardinalities, invocation counts, and wall time (inclusive of the
 //!   step's predicate filtering);
+//! * per predicated step under OPTMINCONTEXT, the [`FilterMode`] its
+//!   predicates took (set filter, forward probe, or per-origin loop);
 //! * MINCONTEXT memo hits/misses and OPTMINCONTEXT backward passes;
 //! * fuel consumed under the engine's configured budget;
 //! * phase wall times (parse / rewrite / compile / evaluate).
@@ -62,6 +64,43 @@ pub struct StepProfile {
     /// sequentially — the default on a 1-thread engine or below the
     /// parallel size threshold).
     pub par_chunks: u64,
+    /// How the step's predicates filtered its candidates on the first
+    /// invocation.  `None` for predicate-free steps and under MINCONTEXT,
+    /// whose predicated steps always run per origin.
+    pub filter: Option<FilterMode>,
+}
+
+/// How OPTMINCONTEXT filtered a predicated step's candidates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum FilterMode {
+    /// Set at a time: one candidate kernel for all origins, every
+    /// predicate answered by intersecting with a witness set from a
+    /// backward pass.
+    Set,
+    /// Set at a time, but at least one predicate was probed forward from
+    /// each candidate (its witness seed was large against the candidate
+    /// set), memoized per node.
+    Probe,
+    /// Per origin: candidate lists in axis order with each predicate
+    /// evaluated through the memo — the shape positional predicates need.
+    Origin,
+}
+
+impl FilterMode {
+    /// A short stable name (used in EXPLAIN plan text).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FilterMode::Set => "set",
+            FilterMode::Probe => "probe",
+            FilterMode::Origin => "origin",
+        }
+    }
+}
+
+impl fmt::Display for FilterMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// The result of [`Engine::explain`](crate::Engine::explain): what one
@@ -143,9 +182,10 @@ impl QueryProfile {
             } else {
                 String::new()
             };
+            let filter = st.filter.map_or(String::new(), |m| format!(" filter={m}"));
             let _ = writeln!(
                 s,
-                "  [#{} step {}] {}{preds} route={} calls={} in={} out={}{par}",
+                "  [#{} step {}] {}{preds} route={} calls={} in={} out={}{filter}{par}",
                 st.path, st.index, st.display, st.route, st.invocations, st.input, st.output
             );
         }
@@ -226,6 +266,7 @@ impl ProfileCollector {
             output: obs.output as u64,
             time: obs.time,
             par_chunks: obs.chunks as u64,
+            filter: obs.filter,
         });
     }
 }
@@ -239,6 +280,7 @@ pub(crate) struct StepObservation {
     pub(crate) output: usize,
     pub(crate) time: Duration,
     pub(crate) chunks: usize,
+    pub(crate) filter: Option<FilterMode>,
 }
 
 /// Parses, rewrites (traced), compiles, and runs one instrumented
@@ -489,6 +531,57 @@ mod tests {
             .unwrap();
         assert_eq!(p.backward_passes, 0);
         assert!(p.memo_misses > 0);
+    }
+
+    #[test]
+    fn optmincontext_filters_position_free_predicates_as_sets() {
+        let doc = parse(concat!(
+            r#"<site><item id="1" v="500"/><item v="10"/><item id="2" v="401"/>"#,
+            "<parlist><listitem/><listitem/></parlist><listitem/>",
+            r#"<open_auction id="3"><bid/><seller/></open_auction><open_auction><bid/></open_auction>"#,
+            r#"<person id="4"/><person/></site>"#,
+        ))
+        .unwrap();
+        // Optimizer pinned on: `//@id/..` becomes a predicated step only
+        // after the reverse-axis rewrite.
+        let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+        // Position-free predicates: one candidate kernel, filtered as a
+        // set (or probed per candidate) without a single hash-memo miss.
+        for (q, n) in [
+            ("//item[@id]", 2),
+            ("//listitem[parent::parlist]", 2),
+            ("//*[@id]", 4),
+            ("//open_auction[bid][seller]", 1),
+            ("//item[@v > 400]", 2),
+            ("//@id/..", 4),
+        ] {
+            let p = e.explain(&doc, q).unwrap();
+            assert_eq!(p.result, format!("node-set n={n}"), "{q}");
+            assert_eq!(p.memo_misses, 0, "{q}\n{}", p.plan_text());
+            let step = p
+                .steps
+                .iter()
+                .find(|s| s.predicates > 0)
+                .expect("a predicated step");
+            assert!(
+                matches!(step.filter, Some(FilterMode::Set | FilterMode::Probe)),
+                "{q}\n{}",
+                p.plan_text()
+            );
+            assert!(p.plan_text().contains(" filter="), "{q}");
+        }
+        // A positional predicate keeps the per-origin loop.
+        let p = e.explain(&doc, "//person[position() = last()]").unwrap();
+        assert_eq!(p.result, "node-set n=1");
+        let step = p.steps.iter().find(|s| s.predicates > 0).unwrap();
+        assert_eq!(step.filter, Some(FilterMode::Origin));
+        assert!(p.plan_text().contains(" filter=origin"));
+        // MINCONTEXT reports no filter mode: its plans keep their format.
+        let p = Engine::new(Strategy::MinContext)
+            .explain(&doc, "//item[@id]")
+            .unwrap();
+        assert!(p.steps.iter().all(|s| s.filter.is_none()));
+        assert!(!p.plan_text().contains(" filter="));
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use cache::LruCache;
 pub use compile::CompiledQuery;
 pub use engine::{Context, Engine, Evaluator, Strategy};
 pub use error::{EvalError, Exhausted};
-pub use explain::{QueryProfile, StepProfile};
+pub use explain::{FilterMode, QueryProfile, StepProfile};
 pub use mincontext::{MinContext, ParSettings};
 // The kernel-route label `Engine::explain` reports per step, re-exported
 // so profile consumers match on it without a direct xml dependency.

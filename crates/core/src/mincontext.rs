@@ -15,33 +15,44 @@
 //! and only contexts that actually arise are ever touched (the top-down
 //! recursion is the paper's context-propagation), total work is polynomial
 //! — `O(|D|·|Q|)` on Core XPath and the Extended Wadler fragment
-//! (Theorems 7 and 10).
+//! (Theorems 7 and 10).  Predicated steps build per-origin candidate
+//! lists in axis order and filter each through the memo; this evaluator
+//! is the reference the optimized one is checked against.
 //!
 //! **OPTMINCONTEXT** (Section 4, plus the backward-propagation rule of the
-//! VLDB'02 predecessor's Section 6).  On top of MINCONTEXT, predicates of
-//! the shapes
+//! VLDB'02 predecessor's Section 6).  A predicated step whose predicates
+//! all have `Relev ∩ {position, size} = ∅` runs *set at a time*: one
+//! candidate kernel `C = χ(cur)` for all origins, then each predicate
+//! filters `C` as a set.  `and`, `or` and `not` become intersection,
+//! union and difference; the leaf shapes
 //!
 //! ```text
 //! boolean(π)        π RelOp c        c RelOp π
 //! ```
 //!
 //! where `π` is a predicate-free relative path and `c` a constant scalar,
-//! are answered from a single *backward pass*: the node-level comparison
-//! set `T = {y | strval(y) op c}` is propagated through the inverse axes
-//! `χ⁻¹` (one `O(|D|)` [`axis_preimage`] sweep per step, including the
-//! id-"axis" of Section 4), yielding the set of context nodes for which
-//! the predicate holds.  Every subsequent predicate check is then an
-//! `O(log |D|)` membership test instead of a fresh `O(|D|)` forward walk.
+//! become `C ∩ χ₁⁻¹(t₁ ∩ … χₖ⁻¹(Tₖ))`: the *witness seed* `Tₖ` is read
+//! from `π`'s last node test (label postings for a name test, a kind scan
+//! otherwise), narrowed by the comparison, and propagated through one
+//! [`axis_preimage`] per step (including the id-"axis" of Section 4).
+//! When the seed is large against `C` and `π` only walks one-hop axes, a
+//! fixed cost rule probes each candidate forward instead, stopping at the
+//! first witness.  Probed values are memoized in a dense per-node column
+//! rather than the hash memo.  Steps with positional predicates keep
+//! MINCONTEXT's per-origin loop; there, shape predicates are answered by
+//! membership in the same witness sets.
+//!
+//! [`axis_preimage`]: minctx_xml::axes::axis_preimage
 
 use crate::budget::BudgetMeter;
 use crate::compile::CompiledQuery;
 use crate::engine::{Context, Evaluator, Strategy};
 use crate::error::EvalError;
-use crate::explain::{ProfileCollector, StepObservation};
+use crate::explain::{FilterMode, ProfileCollector, StepObservation};
 use crate::funcs;
 use crate::naive::arith;
-use crate::value::{compare, node_scalar_compare, Value};
-use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step};
+use crate::value::{compare, NodeComparison, Value};
+use minctx_syntax::{ExprId, Func, Node, PathStart, Relev, Step, ValueType};
 use minctx_xml::axes::{
     axis_image_into, axis_image_into_par, axis_nodes_into_par, axis_preimage_into,
     axis_preimage_into_par, classify_image_route, classify_single_route, Axis, ResolvedTest,
@@ -77,11 +88,12 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The MINCONTEXT evaluator; with `optimized` set, OPTMINCONTEXT.
 #[derive(Debug, Clone, Default)]
 pub struct MinContext {
-    /// Enables the Section-4 backward-propagation optimizations.
+    /// Enables the Section-4 set-at-a-time predicate filters and
+    /// backward propagation.
     pub optimized: bool,
     /// With parallel settings attached, large axis sweeps run on the
-    /// chunked kernels and predicated steps fan the context set out
-    /// across the pool — results stay bit-identical to sequential
+    /// chunked kernels and per-origin predicated steps fan the context
+    /// set out across the pool — results stay bit-identical to sequential
     /// evaluation (chunks merge by pre-order ordinal).  `None` (the
     /// default) is the exact sequential code path.
     pub parallel: Option<ParSettings>,
@@ -104,18 +116,15 @@ impl Evaluator for MinContext {
         scratch: &mut Scratch,
         meter: &mut BudgetMeter,
     ) -> Result<Value, EvalError> {
-        let mut run = Run {
+        let mut run = Run::new(
             doc,
             query,
-            opt: self.optimized,
-            memo: vec![HashMap::new(); query.query().len()],
-            backward: vec![None; query.query().len()],
+            self.optimized,
             scratch,
             meter,
-            prof: None,
-            par: self.parallel.clone(),
-        };
-        run.eval(query.query().root(), ctx)
+            self.parallel.clone(),
+        );
+        run.eval_root(ctx)
     }
 }
 
@@ -135,18 +144,16 @@ impl MinContext {
         meter: &mut BudgetMeter,
         prof: &mut ProfileCollector,
     ) -> Result<Value, EvalError> {
-        let mut run = Run {
+        let mut run = Run::new(
             doc,
             query,
-            opt: self.optimized,
-            memo: vec![HashMap::new(); query.query().len()],
-            backward: vec![None; query.query().len()],
+            self.optimized,
             scratch,
             meter,
-            prof: Some(prof),
-            par: self.parallel.clone(),
-        };
-        run.eval(query.query().root(), ctx)
+            self.parallel.clone(),
+        );
+        run.prof = Some(prof);
+        run.eval_root(ctx)
     }
 }
 
@@ -159,11 +166,20 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// OPTMINCONTEXT: per predicate node, the set of context nodes for
     /// which the predicate holds (computed by one backward pass).
     backward: Vec<Option<NodeSet>>,
+    /// OPTMINCONTEXT probe path: per predicate node, its memoized
+    /// per-node truth values (empty until the first probe).
+    truth: Vec<Option<TruthColumn>>,
+    /// Per-step candidate buffers of the forward probe walk.
+    probe_bufs: Vec<Vec<NodeId>>,
+    /// Element string values built for comparisons.
+    strbuf: String,
     /// Reusable axis-kernel working memory (engine-owned).
     scratch: &'s mut Scratch,
     /// Fuel/deadline accounting: charged per memo-miss compute, per axis
-    /// sweep (proportional to the context set), per candidate filtered,
-    /// and per backward-propagation pass (proportional to the document).
+    /// sweep (proportional to the context set and the kernel's output),
+    /// per candidate filtered, per backward pass (its seed plus each
+    /// preimage's input and output, and `|D|` for a sweeping kernel), and
+    /// per probed node (plus each forward walk's output).
     meter: &'m mut BudgetMeter,
     /// EXPLAIN instrumentation; `None` (the common case) costs one branch
     /// per hook and never reads the clock.
@@ -172,6 +188,26 @@ struct Run<'d, 'q, 's, 'm, 'p> {
     /// sequential path.  Fan-out workers always run with `None` — nested
     /// regions would serialize on the pool's region lock for no benefit.
     par: Option<ParSettings>,
+}
+
+/// A predicate's memoized per-node truth values: one byte per document
+/// node (0 unknown, 1 false, 2 true), taken from the scratch pool.  `set`
+/// lists the written entries so the column goes back all-zero.
+struct TruthColumn {
+    vals: Vec<u8>,
+    set: Vec<NodeId>,
+}
+
+impl Drop for Run<'_, '_, '_, '_, '_> {
+    fn drop(&mut self) {
+        for col in self.truth.drain(..).flatten() {
+            let TruthColumn { mut vals, set } = col;
+            for n in set {
+                vals[n.index()] = 0;
+            }
+            self.scratch.put_column(vals);
+        }
+    }
 }
 
 /// What one fan-out chunk hands back to the parent run.
@@ -184,6 +220,15 @@ struct ChunkOutcome {
     backward: Vec<Option<NodeSet>>,
     /// The first evaluation error the worker hit, if any.
     err: Option<EvalError>,
+}
+
+/// A predicate OPTMINCONTEXT answers from a witness set: `boolean(π)`
+/// (`cmp` is `None`) or `π op c` normalized path-first (`cmp` holds
+/// `strval(·) op c`), where `π` is a predicate-free relative path.
+struct Witness<'q> {
+    path: ExprId,
+    steps: &'q [Step],
+    cmp: Option<NodeComparison>,
 }
 
 /// Packs the *relevant* components of a context into a memo key; the
@@ -208,7 +253,89 @@ fn memo_key(relev: Relev, ctx: Context) -> u128 {
     key
 }
 
-impl<'q> Run<'_, 'q, '_, '_, '_> {
+/// Keeps the members of `c` that are (`keep`) or are not (`!keep`) in
+/// `w`: a linear merge, or binary searches when `c` is much the smaller.
+fn retain_sorted(c: &mut NodeSet, w: &NodeSet, keep: bool) {
+    if c.len().saturating_mul(16) < w.len() {
+        c.retain(|n| w.contains(n) == keep);
+        return;
+    }
+    let w = w.as_slice();
+    let mut j = 0;
+    c.retain(|n| {
+        while j < w.len() && w[j] < n {
+            j += 1;
+        }
+        (j < w.len() && w[j] == n) == keep
+    });
+}
+
+/// Whether a backward pass keeps `y` as a target of `χ`: attribute
+/// targets are kept for `attribute`, and for `self`, `parent` and the
+/// or-self axes (whose preimage kernels decide exactly which origins
+/// reach them); the other tree axes never produce attributes.
+fn axis_reaches(doc: &Document, axis: Axis, y: NodeId) -> bool {
+    let is_attr = doc.kind(y).is_attribute();
+    match axis {
+        Axis::SelfAxis | Axis::Parent | Axis::DescendantOrSelf | Axis::AncestorOrSelf => true,
+        Axis::Attribute => is_attr,
+        _ => !is_attr,
+    }
+}
+
+/// Whether a forward probe of `χ` from one node touches only that node's
+/// own neighbourhood (itself, its parent, children or attributes), so
+/// probing every candidate costs at most one pass over their
+/// neighbourhoods.  The other axes always take the set path.  The
+/// preimages of these axes likewise touch only their input and output.
+fn one_hop(axis: Axis) -> bool {
+    matches!(
+        axis,
+        Axis::SelfAxis | Axis::Child | Axis::Attribute | Axis::Parent
+    )
+}
+
+impl<'d, 'q, 's, 'm, 'p> Run<'d, 'q, 's, 'm, 'p> {
+    fn new(
+        doc: &'d Document,
+        query: &'q CompiledQuery,
+        opt: bool,
+        scratch: &'s mut Scratch,
+        meter: &'m mut BudgetMeter,
+        par: Option<ParSettings>,
+    ) -> Self {
+        let exprs = query.query().len();
+        Run {
+            doc,
+            query,
+            opt,
+            memo: vec![HashMap::new(); exprs],
+            backward: vec![None; exprs],
+            truth: Vec::new(),
+            probe_bufs: Vec::new(),
+            strbuf: String::new(),
+            scratch,
+            meter,
+            prof: None,
+            par,
+        }
+    }
+}
+
+impl<'d, 'q> Run<'d, 'q, '_, '_, '_> {
+    /// Evaluates the query root.  OPTMINCONTEXT computes it without a memo
+    /// entry: the root has exactly one context, so its entry could never
+    /// hit and would only clone the result.
+    fn eval_root(&mut self, ctx: Context) -> Result<Value, EvalError> {
+        let root = self.query.query().root();
+        if self.opt {
+            self.meter.charge(1)?;
+            self.compute(root, ctx)
+        } else {
+            self.eval(root, ctx)
+        }
+    }
+
     fn eval(&mut self, id: ExprId, ctx: Context) -> Result<Value, EvalError> {
         let key = memo_key(self.query.query().relev(id), ctx);
         if let Some(v) = self.memo[id.index()].get(&key) {
@@ -311,43 +438,38 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             // predicated steps, the predicate filtering) finish.
             let timer = self.prof.is_some().then(Instant::now);
             let input = cur.len();
-            if step.predicates.is_empty() {
+            let (route, chunks, filter) = if step.predicates.is_empty() {
                 // Predicate-free step: one axis sweep for the whole
                 // context set, ping-ponging two reused buffers.  With
                 // parallel settings attached, large sweeps run on the
                 // chunked kernels (same output, merged by ordinal).
-                let chunks = match &self.par {
-                    Some(ps) => axis_image_into_par(
-                        self.doc,
-                        step.axis,
-                        &cur,
-                        test,
-                        self.scratch,
-                        &mut next,
-                        &ps.pool,
-                        ps.config,
-                    ),
-                    None => {
-                        axis_image_into(self.doc, step.axis, &cur, test, self.scratch, &mut next);
-                        0
-                    }
-                };
+                let chunks = self.image(step.axis, test, &cur, &mut next);
                 // Charge the sweep's output too: from a singleton
                 // context, `preceding::*` can touch most of the
                 // document, and deadline polling granularity must
                 // track that work, not just the input size.
                 self.meter.charge(next.len() as u64)?;
                 std::mem::swap(&mut cur, &mut next);
-                if let Some(p) = &mut self.prof {
-                    let obs = StepObservation {
-                        route: classify_image_route(step.axis, test, input),
-                        input,
-                        output: cur.len(),
-                        time: timer.expect("profiled step has a timer").elapsed(),
-                        chunks,
-                    };
-                    p.record_step(path_id, si, step, obs);
+                (classify_image_route(step.axis, test, input), chunks, None)
+            } else if step.axis != Axis::Id && self.set_filterable(&step.predicates) {
+                // Position-free predicates see only the candidate node,
+                // so one kernel over all origins finds every candidate
+                // and the predicates filter that set.  (The id axis keeps
+                // the per-origin walk: its set kernel tokenizes per text
+                // node, see DESIGN.md.)
+                let chunks = self.image(step.axis, test, &cur, &mut next);
+                // A `self` kernel only filters the context set charged
+                // above; every other kernel's output is new work.
+                if step.axis != Axis::SelfAxis {
+                    self.meter.charge(next.len() as u64)?;
                 }
+                let mode = self.filter_all(&step.predicates, &mut next)?;
+                std::mem::swap(&mut cur, &mut next);
+                (
+                    classify_image_route(step.axis, test, input),
+                    chunks,
+                    Some(mode),
+                )
             } else {
                 // Positional predicates need per-origin candidate lists in
                 // axis order; predicate values are memoized on Relev.
@@ -389,19 +511,46 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
                     (acc, chunks)
                 };
                 cur = NodeSet::from_unsorted_with_capacity(self.doc.len(), acc);
-                if let Some(p) = &mut self.prof {
-                    let obs = StepObservation {
-                        route: classify_single_route(step.axis, test),
-                        input,
-                        output: cur.len(),
-                        time: timer.expect("profiled step has a timer").elapsed(),
-                        chunks,
-                    };
-                    p.record_step(path_id, si, step, obs);
-                }
+                (
+                    classify_single_route(step.axis, test),
+                    chunks,
+                    self.opt.then_some(FilterMode::Origin),
+                )
+            };
+            if let Some(p) = &mut self.prof {
+                let obs = StepObservation {
+                    route,
+                    input,
+                    output: cur.len(),
+                    time: timer.expect("profiled step has a timer").elapsed(),
+                    chunks,
+                    filter,
+                };
+                p.record_step(path_id, si, step, obs);
             }
         }
         Ok(Value::NodeSet(cur))
+    }
+
+    /// `χ(cur)` filtered by `test` into `out`, on the chunked kernel when
+    /// parallel settings are attached; returns the chunks dispatched.
+    fn image(&mut self, axis: Axis, test: ResolvedTest, cur: &NodeSet, out: &mut NodeSet) -> usize {
+        match &self.par {
+            Some(ps) => axis_image_into_par(
+                self.doc,
+                axis,
+                cur,
+                test,
+                self.scratch,
+                out,
+                &ps.pool,
+                ps.config,
+            ),
+            None => {
+                axis_image_into(self.doc, axis, cur, test, self.scratch, out);
+                0
+            }
+        }
     }
 
     /// Fans a predicated step's context set out across the pool: each of
@@ -432,7 +581,6 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         let doc = self.doc;
         let query = self.query;
         let opt = self.opt;
-        let exprs = query.query().len();
         let origins = origins.as_slice();
         let axis = step.axis;
         let predicates = &step.predicates;
@@ -447,18 +595,8 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             let (s, e) = chunk_bounds(origins.len(), k, i);
             let mut meter = lock(&meters[i]).take().expect("meter prepared per chunk");
             let mut scratch = ps.pool.take_scratch();
-            let mut sub = Run {
-                doc,
-                query,
-                opt,
-                memo: vec![HashMap::new(); exprs],
-                backward: vec![None; exprs],
-                scratch: &mut scratch,
-                meter: &mut meter,
-                prof: None,
-                // Workers never open nested regions.
-                par: None,
-            };
+            // Workers never open nested regions.
+            let mut sub = Run::new(doc, query, opt, &mut scratch, &mut meter, None);
             let mut acc = Vec::new();
             let mut cands = Vec::new();
             let mut err = None;
@@ -477,7 +615,9 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
                 acc.extend_from_slice(&kept);
                 cands = kept;
             }
-            let Run { memo, backward, .. } = sub;
+            let memo = std::mem::take(&mut sub.memo);
+            let backward = std::mem::take(&mut sub.backward);
+            drop(sub);
             ps.pool.put_scratch(scratch);
             *lock(&meters[i]) = Some(meter);
             *lock(&slots[i]) = Some(ChunkOutcome {
@@ -545,18 +685,216 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
         Ok(kept)
     }
 
+    // ---- OPTMINCONTEXT: set-at-a-time predicate filters ----------------
+
+    /// Whether OPTMINCONTEXT filters with `preds` set at a time: every
+    /// predicate is truth-valued and blind to position and size, so its
+    /// value depends on the candidate node alone.
+    fn set_filterable(&self, preds: &[ExprId]) -> bool {
+        let q = self.query.query();
+        self.opt
+            && preds.iter().all(|&p| {
+                let r = q.relev(p);
+                !r.position() && !r.size() && q.value_type(p) != ValueType::Number
+            })
+    }
+
+    /// Applies position-free predicates to the candidate set in order,
+    /// reporting [`FilterMode::Probe`] if any of them probed.
+    fn filter_all(
+        &mut self,
+        preds: &[ExprId],
+        cands: &mut NodeSet,
+    ) -> Result<FilterMode, EvalError> {
+        let mut mode = FilterMode::Set;
+        for &p in preds {
+            if cands.is_empty() {
+                break;
+            }
+            mode = mode.max(self.filter_set(p, cands)?);
+        }
+        Ok(mode)
+    }
+
+    /// Keeps the candidates for which the position-free predicate `p`
+    /// holds: connectives become set operations, witness shapes a backward
+    /// pass or a forward probe, anything else a per-node evaluation.
+    fn filter_set(&mut self, p: ExprId, cands: &mut NodeSet) -> Result<FilterMode, EvalError> {
+        let q = self.query.query();
+        if q.relev(p).is_empty() {
+            // Context-independent: one value for every candidate.
+            let ctx = Context {
+                node: cands.first().expect("filtered sets are non-empty"),
+                position: 1,
+                size: 1,
+            };
+            if !self.eval(p, ctx)?.boolean() {
+                cands.clear();
+            }
+            return Ok(FilterMode::Set);
+        }
+        match q.node(p) {
+            Node::And(a, b) => {
+                let ma = self.filter_set(*a, cands)?;
+                if cands.is_empty() {
+                    return Ok(ma);
+                }
+                Ok(ma.max(self.filter_set(*b, cands)?))
+            }
+            Node::Or(a, b) => {
+                let mut left = cands.clone();
+                let ma = self.filter_set(*a, &mut left)?;
+                retain_sorted(cands, &left, false);
+                let mb = if cands.is_empty() {
+                    FilterMode::Set
+                } else {
+                    self.filter_set(*b, cands)?
+                };
+                *cands = left.union(cands);
+                Ok(ma.max(mb))
+            }
+            Node::Call(Func::Not, args) => {
+                let mut holds = cands.clone();
+                let m = self.filter_set(args[0], &mut holds)?;
+                retain_sorted(cands, &holds, false);
+                Ok(m)
+            }
+            _ => match self.witness(p) {
+                Some(w) => self.filter_witness(p, &w, cands),
+                None => {
+                    self.probe_each(p, cands, |run, n| {
+                        let ctx = Context {
+                            node: n,
+                            position: 1,
+                            size: 1,
+                        };
+                        Ok(run.compute(p, ctx)?.boolean())
+                    })?;
+                    Ok(FilterMode::Probe)
+                }
+            },
+        }
+    }
+
+    /// A witness-shaped predicate filters by its witness set when that is
+    /// built already or cheaper than probing, and by a forward probe per
+    /// candidate otherwise.
+    ///
+    /// The cost rule: building the set reads the seed `Tₖ` once; probing
+    /// walks each candidate's neighbourhood once.  So probe exactly when
+    /// every step of `π` is one-hop (a probe's cost is bounded by the
+    /// candidate's own neighbourhood) and `|C| < |Tₖ|`.
+    fn filter_witness(
+        &mut self,
+        p: ExprId,
+        w: &Witness<'q>,
+        cands: &mut NodeSet,
+    ) -> Result<FilterMode, EvalError> {
+        let probe = self.backward[p.index()].is_none()
+            && w.steps.iter().all(|s| one_hop(s.axis))
+            && cands.len() < self.seed_size(w);
+        if probe {
+            self.probe_each(p, cands, |run, n| run.probe_from(w, 0, n))?;
+            return Ok(FilterMode::Probe);
+        }
+        if self.backward[p.index()].is_none() {
+            let set = self.build_witnesses(w)?;
+            self.backward[p.index()] = Some(set);
+        }
+        let set = self.backward[p.index()].as_ref().expect("built above");
+        retain_sorted(cands, set, true);
+        Ok(FilterMode::Set)
+    }
+
+    /// Keeps the candidates for which `holds` is true, memoizing each
+    /// node's value in `p`'s truth column so a step re-run from other
+    /// origins never recomputes it.  Each computed value costs one unit
+    /// of fuel on top of what `holds` charges.  (EXPLAIN's memo counters
+    /// count the `Relev`-keyed hash memo only, not this column.)
+    fn probe_each(
+        &mut self,
+        p: ExprId,
+        cands: &mut NodeSet,
+        mut holds: impl FnMut(&mut Self, NodeId) -> Result<bool, EvalError>,
+    ) -> Result<(), EvalError> {
+        if self.truth.is_empty() {
+            self.truth.resize_with(self.query.query().len(), || None);
+        }
+        let mut kept = Vec::with_capacity(cands.len());
+        for n in cands.iter() {
+            let known = self.truth[p.index()]
+                .as_ref()
+                .map_or(0, |col| col.vals[n.index()]);
+            let value = if known != 0 {
+                known == 2
+            } else {
+                self.meter.charge(1)?;
+                let v = holds(self, n)?;
+                let col = self.truth[p.index()].get_or_insert_with(|| TruthColumn {
+                    vals: self.scratch.take_column(self.doc.len()),
+                    set: Vec::new(),
+                });
+                col.vals[n.index()] = 1 + u8::from(v);
+                col.set.push(n);
+                v
+            };
+            if value {
+                kept.push(n);
+            }
+        }
+        *cands = NodeSet::from_sorted_vec(kept);
+        Ok(())
+    }
+
+    /// Whether `π` (from step `level` on) reaches a witness from `node`,
+    /// walking depth-first and stopping at the first one.  Charges each
+    /// walk's output.
+    fn probe_from(
+        &mut self,
+        w: &Witness<'q>,
+        level: usize,
+        node: NodeId,
+    ) -> Result<bool, EvalError> {
+        let Some(step) = w.steps.get(level) else {
+            return Ok(match &w.cmp {
+                None => true,
+                Some(cmp) => cmp.holds(self.doc, node, &mut self.strbuf),
+            });
+        };
+        if self.probe_bufs.len() <= level {
+            self.probe_bufs.resize_with(level + 1, Vec::new);
+        }
+        let mut buf = std::mem::take(&mut self.probe_bufs[level]);
+        let test = self.query.step_test(w.path, level);
+        self.doc.axis_nodes_into(step.axis, node, test, &mut buf);
+        let mut found = self.meter.charge(buf.len() as u64 + 1).map(|()| false);
+        if found.is_ok() {
+            for &y in &buf {
+                found = self.probe_from(w, level + 1, y);
+                if !matches!(found, Ok(false)) {
+                    break;
+                }
+            }
+        }
+        self.probe_bufs[level] = buf;
+        found
+    }
+
     // ---- OPTMINCONTEXT: backward propagation --------------------------
 
-    /// If `id` is a predicate of one of the backward-propagatable shapes,
-    /// answers it via the precomputed context-node set.
+    /// If `id` is a predicate of one of the witness shapes, answers it for
+    /// one context node: by membership in its witness set, or — for a
+    /// one-hop `π`, which costs one node's neighbourhood — by a forward
+    /// probe (the caller memoizes the value).
     fn try_backward(&mut self, id: ExprId, ctx_node: NodeId) -> Result<Option<bool>, EvalError> {
         if self.backward[id.index()].is_none() {
-            let Some(set) = self.build_backward(id)? else {
+            let Some(w) = self.witness(id) else {
                 return Ok(None);
             };
-            if let Some(p) = &mut self.prof {
-                p.backward_pass();
+            if w.steps.iter().all(|s| one_hop(s.axis)) {
+                return self.probe_from(&w, 0, ctx_node).map(Some);
             }
+            let set = self.build_witnesses(&w)?;
             self.backward[id.index()] = Some(set);
         }
         Ok(self.backward[id.index()]
@@ -564,88 +902,128 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
             .map(|set| set.contains(ctx_node)))
     }
 
-    /// Builds the backward set for `boolean(π)` / `π RelOp c` / `c RelOp π`
-    /// shapes, or `None` when the shape does not apply.
-    fn build_backward(&mut self, id: ExprId) -> Result<Option<NodeSet>, EvalError> {
-        match self.query.query().node(id) {
+    /// The [`Witness`] form of a `boolean(π)` / `π RelOp c` / `c RelOp π`
+    /// predicate, or `None` when the shape does not apply.
+    fn witness(&self, id: ExprId) -> Option<Witness<'q>> {
+        let q = self.query.query();
+        match q.node(id) {
             Node::Call(Func::Boolean, args) => {
-                let Some((path_id, steps)) = self.simple_relative_path(args[0]) else {
-                    return Ok(None);
-                };
-                // The witness scan visits every node once.
-                self.meter.charge(self.doc.len() as u64)?;
-                // Existence: every node is a witness.
-                let all: NodeSet = self.doc.all_nodes().collect();
-                self.propagate_backwards(path_id, steps, all).map(Some)
+                let (path, steps) = self.simple_relative_path(args[0])?;
+                Some(Witness {
+                    path,
+                    steps,
+                    cmp: None,
+                })
             }
             Node::Compare(op, a, b) => {
                 // Normalize to path-on-the-left.
-                let ((path_id, steps), scalar, op) =
-                    if let Some(path) = self.simple_relative_path(*a) {
-                        let Some(scalar) = self.constant_scalar(*b) else {
-                            return Ok(None);
-                        };
-                        (path, scalar, *op)
-                    } else {
-                        let Some(path) = self.simple_relative_path(*b) else {
-                            return Ok(None);
-                        };
-                        let Some(scalar) = self.constant_scalar(*a) else {
-                            return Ok(None);
-                        };
-                        (path, scalar, op.swapped())
-                    };
-                self.meter.charge(self.doc.len() as u64)?;
-                let witnesses: NodeSet = self
-                    .doc
-                    .all_nodes()
-                    .filter(|&y| node_scalar_compare(self.doc, op, y, &scalar))
-                    .collect();
-                self.propagate_backwards(path_id, steps, witnesses)
-                    .map(Some)
+                let ((path, steps), scalar, op) = match self.simple_relative_path(*a) {
+                    Some(path) => (path, self.constant_scalar(*b)?, *op),
+                    None => (
+                        self.simple_relative_path(*b)?,
+                        self.constant_scalar(*a)?,
+                        op.swapped(),
+                    ),
+                };
+                Some(Witness {
+                    path,
+                    steps,
+                    cmp: Some(NodeComparison::new(op, &scalar)),
+                })
             }
-            _ => Ok(None),
+            _ => None,
         }
     }
 
-    /// `χ₁⁻¹(t₁ ∩ … χₖ⁻¹(tₖ ∩ T))`: one preimage sweep per step, right to
-    /// left, filtering by each step's node test first.
+    /// `|Tₖ|` before the comparison: the postings length for a name test
+    /// on `π`'s last step, `|D|` for a kind test (or an empty `π`).
+    fn seed_size(&self, w: &Witness<'q>) -> usize {
+        match self.postings(w) {
+            Some(p) => p.len(),
+            None => self.doc.len(),
+        }
+    }
+
+    /// The label postings that are exactly the nodes passing `π`'s last
+    /// step (element postings, or attribute postings on the attribute
+    /// axis), when its test is a name test.
+    fn postings(&self, w: &Witness<'q>) -> Option<&'d [NodeId]> {
+        let last = w.steps.len().checked_sub(1)?;
+        match self.query.step_test(w.path, last) {
+            ResolvedTest::Name(nm) => Some(if w.steps[last].axis == Axis::Attribute {
+                self.doc.attribute_postings(nm)
+            } else {
+                self.doc.element_postings(nm)
+            }),
+            ResolvedTest::NeverMatches => Some(&[]),
+            _ => None,
+        }
+    }
+
+    /// The set of context nodes for which a witness-shaped predicate
+    /// holds, `χ₁⁻¹(t₁ ∩ … χₖ⁻¹(Tₖ))`, by one backward pass: the seed
+    /// `Tₖ` (nodes passing the last step's test, narrowed by the
+    /// comparison) is read from postings or a kind scan, then one
+    /// preimage per step, right to left, filtering by each earlier step's
+    /// node test.
     ///
-    /// Attribute nodes in the target set are kept only where the forward
-    /// axis can actually produce them: always for `self` and the or-self
-    /// axes (an attribute is its own or-self image), only attributes for
-    /// `attribute`, never for the rest.  The preimage kernels themselves
-    /// are exact for attribute *origins* (see
+    /// Attribute nodes are kept only where the forward axis can actually
+    /// produce them (see [`axis_reaches`]); the preimage kernels
+    /// themselves are exact for attribute *origins* (see
     /// [`minctx_xml::axes::axis_preimage`]), so every axis propagates
     /// backward exactly.
-    fn propagate_backwards(
-        &mut self,
-        path_id: ExprId,
-        steps: &[Step],
-        targets: NodeSet,
-    ) -> Result<NodeSet, EvalError> {
-        let mut set = targets;
+    ///
+    /// Fuel: the seed's size (or `|D|` for a kind scan), then each
+    /// preimage's input and output, plus `|D|` for a sweeping kernel.
+    fn build_witnesses(&mut self, w: &Witness<'q>) -> Result<NodeSet, EvalError> {
+        if let Some(p) = &mut self.prof {
+            p.backward_pass();
+        }
+        let doc = self.doc;
+        let mut seed: Vec<NodeId> = match (self.postings(w), w.steps.last()) {
+            (Some(posts), _) => {
+                self.meter.charge(posts.len() as u64)?;
+                posts.to_vec()
+            }
+            (None, last) => {
+                self.meter.charge(doc.len() as u64)?;
+                match last {
+                    Some(step) => {
+                        let test = self.query.step_test(w.path, w.steps.len() - 1);
+                        doc.all_nodes()
+                            .filter(|&y| {
+                                axis_reaches(doc, step.axis, y) && test.matches(doc, step.axis, y)
+                            })
+                            .collect()
+                    }
+                    None => doc.all_nodes().collect(),
+                }
+            }
+        };
+        if let Some(cmp) = &w.cmp {
+            let buf = &mut self.strbuf;
+            seed.retain(|&y| cmp.holds(doc, y, buf));
+        }
+        let mut set = NodeSet::from_sorted_vec(seed);
         let mut pre = NodeSet::new();
-        for (si, step) in steps.iter().enumerate().rev() {
-            // Each preimage sweep is an `O(|D|)` pass.
-            self.meter.charge(self.doc.len() as u64 + 1)?;
-            let test = self.query.step_test(path_id, si);
-            set.retain(|y| {
-                let is_attr = self.doc.kind(y).is_attribute();
-                let attr_ok = match step.axis {
-                    Axis::SelfAxis
-                    | Axis::Parent
-                    | Axis::DescendantOrSelf
-                    | Axis::AncestorOrSelf => true,
-                    Axis::Attribute => is_attr,
-                    _ => !is_attr,
-                };
-                attr_ok && test.matches(self.doc, step.axis, y)
-            });
+        for (si, step) in w.steps.iter().enumerate().rev() {
+            if set.is_empty() {
+                // Every earlier preimage of the empty set is empty.
+                break;
+            }
+            if si + 1 < w.steps.len() {
+                // The seed already passed the last step's test.
+                let test = self.query.step_test(w.path, si);
+                set.retain(|y| axis_reaches(doc, step.axis, y) && test.matches(doc, step.axis, y));
+            }
+            // The one-hop preimages touch only their input and output;
+            // every other kernel sweeps the arena.
+            let sweep = if one_hop(step.axis) { 0 } else { doc.len() };
+            self.meter.charge((set.len() + sweep) as u64 + 1)?;
             match &self.par {
                 Some(ps) => {
                     axis_preimage_into_par(
-                        self.doc,
+                        doc,
                         step.axis,
                         &set,
                         self.scratch,
@@ -654,20 +1032,18 @@ impl<'q> Run<'_, 'q, '_, '_, '_> {
                         ps.config,
                     );
                 }
-                None => axis_preimage_into(self.doc, step.axis, &set, self.scratch, &mut pre),
+                None => axis_preimage_into(doc, step.axis, &set, self.scratch, &mut pre),
             }
+            self.meter.charge(pre.len() as u64)?;
             std::mem::swap(&mut set, &mut pre);
         }
         Ok(set)
     }
 
     /// A relative, predicate-free location path — the shape the backward
-    /// optimization handles.  Every axis now propagates backward exactly:
-    /// the preimage kernels handle attribute nodes on both sides of the
-    /// relation, where their mirror-axis predecessors diverged from `χ⁻¹`
-    /// for attribute origins of `parent` / `ancestor(-or-self)` /
-    /// `descendant-or-self` / `following` / `preceding` (those axes were
-    /// therefore excluded here).
+    /// optimization handles.  Every axis propagates backward exactly: the
+    /// preimage kernels handle attribute nodes on both sides of the
+    /// relation.
     fn simple_relative_path(&self, id: ExprId) -> Option<(ExprId, &'q [Step])> {
         match self.query.query().node(id) {
             Node::Path(PathStart::Context, steps)
@@ -780,6 +1156,41 @@ mod tests {
     }
 
     #[test]
+    fn comparison_witnesses_agree_on_element_and_attribute_values() {
+        // The witness seed applies the last step's node test before
+        // comparing, so element values (whole-subtree string values) and
+        // attribute values must both come out exactly as MINCONTEXT's
+        // forward comparison has them.
+        let xml = r#"<r><item v="5">7</item><item v="50"><n>60</n>1</item><other v="500">700</other><item/></r>"#;
+        for q in [
+            "//item[@v > 10]",
+            "//item[@v != 5]",
+            "//item[. > 10]",
+            "//item[n > 10]",
+            "//r[item > 10]",
+            "//r[item = '7']",
+            "//*[@v > 10]",
+            "//*[. = '601']",
+            "//@v[. > 10]",
+            "//@v[10 < .]",
+            "count(//item[@v > 10])",
+            "/r/item[position() = 2][@v > 10]",
+        ] {
+            let (plain, opt) = eval_both(xml, q);
+            assert_eq!(plain, opt, "query {q}");
+        }
+        let doc = parse(xml).unwrap();
+        // Attribute-valued: the items with v = 50 (v = 500 is on <other>).
+        let v = eval_one(&doc, "count(//item[@v > 10])", true);
+        assert_eq!(v, Value::Number(1.0));
+        // Element-valued: strval(item₂) = "601", strval(item₁) = "7".
+        let v = eval_one(&doc, "count(//item[. > 10])", true);
+        assert_eq!(v, Value::Number(1.0));
+        let v = eval_one(&doc, "count(//*[. = '601'])", true);
+        assert_eq!(v, Value::Number(1.0));
+    }
+
+    #[test]
     fn backward_propagation_through_id_axis() {
         let xml = r#"<a id="r"><b id="x">y</b><c id="y">100</c></a>"#;
         // b's id-step dereferences to c, whose value is 100.
@@ -801,17 +1212,7 @@ mod tests {
         let cq = CompiledQuery::new(&doc, &q);
         let mut scratch = Scratch::new();
         let mut meter = BudgetMeter::unlimited();
-        let mut run = Run {
-            doc: &doc,
-            query: &cq,
-            opt: false,
-            memo: vec![HashMap::new(); q.len()],
-            backward: vec![None; q.len()],
-            scratch: &mut scratch,
-            meter: &mut meter,
-            prof: None,
-            par: None,
-        };
+        let mut run = Run::new(&doc, &cq, false, &mut scratch, &mut meter, None);
         let v = run.eval(q.root(), Context::document(&doc)).unwrap();
         assert_eq!(v.as_node_set().unwrap().len(), 2);
         // Find the comparison predicate node and check its memo size: three

@@ -7,7 +7,7 @@
 
 use crate::error::EvalError;
 use minctx_syntax::{CmpOp, ValueType};
-use minctx_xml::{Document, NodeSet};
+use minctx_xml::{Document, NodeKind, NodeSet};
 
 /// An XPath 1.0 value: the result of evaluating any expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -180,42 +180,76 @@ pub fn compare(doc: &Document, op: CmpOp, a: &Value, b: &Value) -> bool {
                 })
             }
         }
-        (NodeSet(x), _) => x.iter().any(|m| cmp_node_scalar(doc, op, m, b)),
+        (NodeSet(x), _) => {
+            let cmp = NodeComparison::new(op, b);
+            let mut buf = String::new();
+            x.iter().any(|m| cmp.holds(doc, m, &mut buf))
+        }
         (_, NodeSet(y)) => {
-            let op = op.swapped();
-            y.iter().any(|m| cmp_node_scalar(doc, op, m, a))
+            let cmp = NodeComparison::new(op.swapped(), a);
+            let mut buf = String::new();
+            y.iter().any(|m| cmp.holds(doc, m, &mut buf))
         }
         _ => compare_scalars(op, a, b),
     }
 }
 
-/// `strval(node) op scalar` — the single-node comparison the existential
-/// node-set rules quantify over.  Exposed so OPTMINCONTEXT can build its
-/// backward-propagation witness sets from exactly the same dispatch.
-///
-/// # Panics
-///
-/// Panics if `v` is a node-set or a boolean: node-sets are handled by the
-/// existential rules of [`compare`], and boolean comparisons convert the
-/// whole node-set, never its members.
-pub fn node_scalar_compare(doc: &Document, op: CmpOp, node: minctx_xml::NodeId, v: &Value) -> bool {
-    cmp_node_scalar(doc, op, node, v)
+/// `strval(·) op scalar` — the single-node comparison the existential
+/// node-set rules quantify over, prepared once for many nodes: the
+/// scalar side is converted up front (§3.4 dispatch — string equality by
+/// string value, everything else by number), and
+/// [`NodeComparison::holds`] borrows each node's string value instead of
+/// allocating it.  OPTMINCONTEXT builds its witness sets from exactly
+/// this dispatch.
+#[derive(Debug, Clone)]
+pub(crate) struct NodeComparison {
+    op: CmpOp,
+    rhs: Rhs,
 }
 
-/// `strval(node) op scalar` with the per-type dispatch of §3.4.
-fn cmp_node_scalar(doc: &Document, op: CmpOp, node: minctx_xml::NodeId, v: &Value) -> bool {
-    match v {
-        Value::Number(n) => cmp_num(op, string_to_number(&doc.string_value(node)), *n),
-        Value::String(s) if op.is_equality() => cmp_str(op, &doc.string_value(node), s),
-        Value::String(s) => cmp_num(
-            op,
-            string_to_number(&doc.string_value(node)),
-            string_to_number(s),
-        ),
-        Value::Boolean(_) => {
-            unreachable!("boolean comparisons convert the node-set, not its members")
+#[derive(Debug, Clone)]
+enum Rhs {
+    Number(f64),
+    Text(Box<str>),
+}
+
+impl NodeComparison {
+    /// Prepares `strval(·) op v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is a node-set or a boolean: node-sets are handled by
+    /// the existential rules of [`compare`], and boolean comparisons
+    /// convert the whole node-set, never its members.
+    pub(crate) fn new(op: CmpOp, v: &Value) -> NodeComparison {
+        let rhs = match v {
+            Value::Number(n) => Rhs::Number(*n),
+            Value::String(s) if op.is_equality() => Rhs::Text(s.as_str().into()),
+            Value::String(s) => Rhs::Number(string_to_number(s)),
+            Value::Boolean(_) => {
+                unreachable!("boolean comparisons convert the node-set, not its members")
+            }
+            Value::NodeSet(_) => unreachable!("node-set handled by caller"),
+        };
+        NodeComparison { op, rhs }
+    }
+
+    /// Whether `strval(node) op v` holds.  Attribute, text, comment and
+    /// PI values are borrowed from the document; an element's or the
+    /// root's concatenated value is built in `buf`, which callers reuse
+    /// across nodes.
+    pub(crate) fn holds(&self, doc: &Document, node: minctx_xml::NodeId, buf: &mut String) -> bool {
+        let value = if matches!(doc.kind(node), NodeKind::Root | NodeKind::Element(_)) {
+            buf.clear();
+            doc.string_value_into(node, buf);
+            buf.as_str()
+        } else {
+            doc.content(node)
+        };
+        match &self.rhs {
+            Rhs::Number(n) => cmp_num(self.op, string_to_number(value), *n),
+            Rhs::Text(s) => cmp_str(self.op, value, s),
         }
-        Value::NodeSet(_) => unreachable!("node-set handled by caller"),
     }
 }
 

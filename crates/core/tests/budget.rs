@@ -7,7 +7,7 @@
 //! evaluation.  (The streaming engine's per-event metering is covered in
 //! `crates/stream/tests/budget_stream.rs`.)
 
-use minctx_core::{Engine, EvalError, Exhausted, Strategy, Value};
+use minctx_core::{Engine, EvalError, Exhausted, FilterMode, Strategy, Value};
 use minctx_xml::parse;
 use std::time::Duration;
 
@@ -123,4 +123,38 @@ fn exhaustion_is_not_sticky_across_evaluations() {
             "strategy {s}"
         );
     }
+}
+
+#[test]
+fn optmincontext_set_filter_is_metered() {
+    // 200 elements, every tenth with an id: `//*[@id]` filters its
+    // candidate set with a backward pass.  A budget that covers the
+    // candidate kernel exactly must trip inside that set filter.
+    let mut xml = String::from("<a>");
+    for i in 0..200 {
+        if i % 10 == 0 {
+            xml.push_str(&format!("<b id=\"b{i}\"/>"));
+        } else {
+            xml.push_str("<b/>");
+        }
+    }
+    xml.push_str("</a>");
+    let doc = parse(&xml).unwrap();
+    // Optimizer pinned on so `//*` is the single fused kernel step.
+    let e = Engine::new(Strategy::OptMinContext).with_optimizer(true);
+    let profile = e.explain(&doc, "//*[@id]").unwrap();
+    assert_eq!(profile.steps[0].filter, Some(FilterMode::Set));
+    let kernel = e.explain(&doc, "//*").unwrap().fuel_spent;
+    assert!(profile.fuel_spent > kernel);
+    let capped = Engine::new(Strategy::OptMinContext)
+        .with_optimizer(true)
+        .with_budget(kernel);
+    assert!(capped.evaluate_str(&doc, "//*").is_ok());
+    let err = capped.evaluate_str(&doc, "//*[@id]").unwrap_err();
+    assert_eq!(
+        err,
+        EvalError::BudgetExhausted {
+            cause: Exhausted::Fuel { fuel: kernel }
+        }
+    );
 }

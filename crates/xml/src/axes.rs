@@ -279,12 +279,35 @@ pub struct Scratch {
     tmp2: Vec<NodeId>,
     /// Merged subtree intervals for the descendant postings walk.
     ranges: Vec<(u32, u32)>,
+    /// Pooled per-node byte columns, all-zero while pooled (see
+    /// [`Scratch::take_column`]).
+    columns: Vec<Vec<u8>>,
 }
 
 impl Scratch {
     /// A scratch with empty buffers; they size themselves on first use.
     pub fn new() -> Scratch {
         Scratch::default()
+    }
+
+    /// A dense per-node byte column of at least `n` entries, all zero —
+    /// evaluator-side per-node state (memo flags) that should not cost an
+    /// `O(|D|)` allocation per evaluation.  Pooled columns are kept
+    /// all-zero, so taking one writes only the entries a longer document
+    /// adds.
+    pub fn take_column(&mut self, n: usize) -> Vec<u8> {
+        let mut col = self.columns.pop().unwrap_or_default();
+        if col.len() < n {
+            col.resize(n, 0);
+        }
+        col
+    }
+
+    /// Returns a column to the pool.  The caller must have reset every
+    /// entry it set back to zero.
+    pub fn put_column(&mut self, col: Vec<u8>) {
+        debug_assert!(col.iter().all(|&b| b == 0), "pooled column not reset");
+        self.columns.push(col);
     }
 
     fn grow(&mut self, n: usize) {
@@ -1136,14 +1159,13 @@ pub fn axis_preimage_into_par(
     let n = doc.len();
     scratch.grow(n);
     match axis {
-        Axis::Child | Axis::Descendant | Axis::DescendantOrSelf => {
+        Axis::Descendant | Axis::DescendantOrSelf => {
             // Mirror through the parallel image, with the same attribute
             // filtering as the sequential kernel.
             let mut filt = std::mem::take(&mut scratch.tmp2);
             filt.clear();
             filt.extend(y.iter().filter(|&m| !doc.kind(m).is_attribute()));
             let mirror = match axis {
-                Axis::Child => Axis::Parent,
                 Axis::Descendant => Axis::Ancestor,
                 _ => Axis::AncestorOrSelf,
             };
@@ -1164,27 +1186,6 @@ pub fn axis_preimage_into_par(
                 o.sort_unstable();
                 o.dedup();
             }
-            chunks
-        }
-        Axis::Parent => {
-            let chunks = image_into_par(
-                doc,
-                Axis::Child,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-                pool,
-                cfg,
-            );
-            let o = out.vec_mut();
-            for m in y.iter() {
-                if doc.kind(m).is_element() {
-                    o.extend(doc.attributes(m));
-                }
-            }
-            o.sort_unstable();
-            o.dedup();
             chunks
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
@@ -1241,8 +1242,9 @@ pub fn axis_preimage_into_par(
             });
             chunks
         }
-        // `preceding` is a pure index-range push (memcpy-shaped), and the
-        // remaining axes are small or sibling-shaped: sequential.
+        // `preceding` is a pure index-range push (memcpy-shaped),
+        // `child`/`parent` are output-sensitive, and the remaining axes
+        // are small or sibling-shaped: sequential.
         _ => {
             axis_preimage_into(doc, axis, y, scratch, out);
             0
@@ -1474,37 +1476,31 @@ pub fn axis_preimage_into(
             out.vec_mut().extend_from_slice(tmp);
         }
         Axis::Id => *out = doc.id_preimage(y),
+        // The two one-hop axes are output-sensitive: each member of `Y`
+        // contributes its own parent / children, collected in the flag
+        // bitmap (`O(|Y| + out + |D|/64)`, no arena sweep).
         Axis::Child => {
-            // child(x) never contains attributes: drop them from Y, then
-            // mirror.
-            with_non_attr!(|filt| image_into(
-                doc,
-                Axis::Parent,
-                filt,
-                ResolvedTest::AnyNode,
-                scratch,
-                out
-            ));
+            // child(x) never contains attributes: only the parents of
+            // non-attribute members qualify.
+            let flag = &mut scratch.flag;
+            flag.clear();
+            for m in y.iter().filter(|&m| !doc.kind(m).is_attribute()) {
+                if let Some(p) = doc.parent(m) {
+                    flag.insert(p);
+                }
+            }
+            out.vec_mut().extend(flag.iter());
         }
         Axis::Parent => {
             // parent(x) is defined for attributes too: the preimage is the
             // non-attribute children of Y plus the attributes owned by Y.
-            image_into(
-                doc,
-                Axis::Child,
-                y.as_slice(),
-                ResolvedTest::AnyNode,
-                scratch,
-                out,
-            );
-            let o = out.vec_mut();
+            let flag = &mut scratch.flag;
+            flag.clear();
             for m in y.iter() {
-                if doc.kind(m).is_element() {
-                    o.extend(doc.attributes(m));
-                }
+                flag.extend(doc.attributes(m));
+                flag.extend(doc.children(m));
             }
-            o.sort_unstable();
-            o.dedup();
+            out.vec_mut().extend(flag.iter());
         }
         Axis::Descendant => {
             with_non_attr!(|filt| image_into(
